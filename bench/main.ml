@@ -488,15 +488,13 @@ let deep_capture (e : Engine.t) =
   ( Database.copy e.Engine.db,
     s_store,
     Topo.copy e.Engine.topo,
-    Reach.copy ~store:s_store e.Engine.reach,
-    e.Engine.seed )
+    Reach.copy ~store:s_store e.Engine.reach )
 
-let deep_restore (e : Engine.t) (db, st, tp, rc, sd) =
+let deep_restore (e : Engine.t) (db, st, tp, rc) =
   e.Engine.db <- db;
   e.Engine.store <- st;
   e.Engine.topo <- tp;
-  e.Engine.reach <- rc;
-  e.Engine.seed <- sd
+  e.Engine.reach <- rc
 
 let deep_dry_run e u =
   let snap = deep_capture e in
@@ -635,32 +633,6 @@ let ablation_sharing () =
         ])
     [ 1.0; 1.5; 2.3; 3.0; 4.0 ]
 
-let ablation_bulk_publish () =
-  header
-    "ablation: bulk vs per-parent rule evaluation in the publisher"
-    [ "|C|"; "bulk_ms"; "per_call_ms"; "speedup" ];
-  let sizes =
-    by_scale ~full:[ 1_000; 3_000; 10_000 ] ~quick:[ 1_000; 2_000 ]
-      ~smoke:[ 300 ]
-  in
-  List.iter
-    (fun n ->
-      let d = dataset n in
-      let atg = Synth.atg () in
-      let _, t_bulk =
-        time (fun () -> Rxv_atg.Publish.publish ~strategy:`Bulk atg d.Synth.db)
-      in
-      let _, t_per =
-        time (fun () ->
-            Rxv_atg.Publish.publish ~strategy:`Per_call atg d.Synth.db)
-      in
-      row
-        [
-          string_of_int n; ms t_bulk; ms t_per;
-          Printf.sprintf "%.1fx" (t_per /. t_bulk);
-        ])
-    sizes
-
 let ablation_dag_vs_tree () =
   header
     "ablation: XPath on the DAG vs on the uncompressed tree (oracle \
@@ -698,7 +670,6 @@ let ablation_dag_vs_tree () =
 
 let ablations () =
   ablation_sharing ();
-  ablation_bulk_publish ();
   ablation_dag_vs_tree ()
 
 (* ---------- Recovery: WAL replay vs full republish ---------- *)
@@ -1128,30 +1099,25 @@ let xpath_cache () =
    experiments ran *)
 let min_translate_speedup = ref infinity
 
-(* Three arms replay identical W2 insertion workloads on identical
+(* Two arms replay identical W2 insertion workloads on identical
    engines; they differ only in what survives between operations:
    - cold: the engine's translation cache is cleared and every secondary
      relation index dropped before each op — the pre-cache behavior,
      paying skeleton construction, gen_A materialization and index
      builds every time;
-   - skeleton: warm-start state (stored CNF + model) is forgotten before
-     each op but structural skeletons, gen_A row sets and indexes stay;
-   - warm: nothing is dropped — steady-state production behavior, with
-     warm-started WalkSAT and identical-CNF model reuse on top. *)
+   - skeleton: nothing is dropped — steady-state production behavior,
+     with structural skeletons, gen_A row sets and indexes kept. *)
 let translate_bench () =
-  (* smoke keeps a high op count: the warm arms total ~1ms at |C|=300,
-     so the speedup ratio needs enough ops to amortize scheduler noise
-     when runtest runs this concurrently with the test suites *)
+  (* smoke keeps a high op count: the skeleton arm totals ~1ms at
+     |C|=300, so the speedup ratio needs enough ops to amortize scheduler
+     noise when runtest runs this concurrently with the test suites *)
   let nops = by_scale ~full:30 ~quick:12 ~smoke:30 in
   header
     (Printf.sprintf
-       "translate: insertion ΔV→ΔR translation, cold vs skeleton-warm vs \
-        warm-started (%d W2 insertions)"
+       "translate: insertion ΔV→ΔR translation, cold vs skeleton-warm (%d \
+        W2 insertions)"
        nops)
-    [
-      "|C|"; "cold_ms"; "skeleton_ms"; "warm_ms"; "cold/skel"; "skel/warm";
-      "skel_hits"; "warm_starts";
-    ];
+    [ "|C|"; "cold_ms"; "skeleton_ms"; "cold/skel"; "skel_hits" ];
   List.iter
     (fun n ->
       let arm prep =
@@ -1179,18 +1145,14 @@ let translate_bench () =
             Rxv_core.Vinsert.clear_cache e.Engine.sat;
             drop_relation_indexes e)
       in
-      let skel, _ = arm (fun e -> Rxv_core.Vinsert.drop_warm e.Engine.sat) in
-      let warm, wst = arm (fun _ -> ()) in
-      let s1 = cold /. max skel 1e-9 in
-      let s2 = skel /. max warm 1e-9 in
-      min_translate_speedup := min !min_translate_speedup s1;
+      let skel, sst = arm (fun _ -> ()) in
+      let speedup = cold /. max skel 1e-9 in
+      min_translate_speedup := min !min_translate_speedup speedup;
       row
         [
-          string_of_int n; ms cold; ms skel; ms warm;
-          Printf.sprintf "%.1fx" s1;
-          Printf.sprintf "%.2fx" s2;
-          string_of_int wst.Engine.sat_skeleton_hits;
-          string_of_int wst.Engine.sat_warm_starts;
+          string_of_int n; ms cold; ms skel;
+          Printf.sprintf "%.1fx" speedup;
+          string_of_int sst.Engine.sat_skeleton_hits;
         ])
     (by_scale
        ~full:[ 10_000; 100_000 ]
@@ -1383,7 +1345,7 @@ let replication_arm ~n_followers ~commits ~duration ~trials =
       Follower.start ~wait_ms:50
         ~name:(Printf.sprintf "r%d" i)
         ~primary:(Server.Unix_sock psock) ~init:Registrar.sample_db
-        ~seed:20070415 rsrv
+        rsrv
     in
     (rsock, rsrv, f)
   in
@@ -1570,7 +1532,7 @@ let failover_bench () =
       let p2, ssrv, ssock = open_node ~role:`Replica dir2 in
       let f =
         Follower.start ~wait_ms:20 ~persist:p2 ~name:"standby"
-          ~primary:(Server.Unix_sock psock) ~init ~seed:20070415 ssrv
+          ~primary:(Server.Unix_sock psock) ~init ssrv
       in
       let router =
         Resilient.Router.create ~timeout:1.0 ~wait_ms:5000

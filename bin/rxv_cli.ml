@@ -68,8 +68,8 @@ let seed_arg =
     value
     & opt int 7
     & info [ "seed" ] ~docv:"SEED"
-        ~doc:"Deterministic seed: drives the synth generator and the \
-              engine's WalkSAT seed sequence.")
+        ~doc:"Deterministic seed for the synthetic dataset generator \
+              (only with $(b,-s synth)).")
 
 let data_arg =
   Arg.(
@@ -126,11 +126,11 @@ let sync_arg =
 let with_engine scenario n seed data wal sync
     (f : Engine.t -> Persist.t option -> int) : int =
   match wal with
-  | None -> f (Engine.create ~seed (atg_of scenario) (init_db scenario n seed data)) None
+  | None -> f (Engine.create (atg_of scenario) (init_db scenario n seed data)) None
   | Some dir -> (
       let p = Persist.open_dir ~sync dir in
       match
-        Persist.recover ~seed p (atg_of scenario)
+        Persist.recover p (atg_of scenario)
           ~init:(fun () -> init_db scenario n seed data)
       with
       | Error msg ->
@@ -169,8 +169,7 @@ let print_stats e =
     st.Engine.snapshot_reads;
   Fmt.pr "sat skeletons      %d hits, %d misses@." st.Engine.sat_skeleton_hits
     st.Engine.sat_skeleton_misses;
-  Fmt.pr "sat solving        %d warm starts, %d learned kept@."
-    st.Engine.sat_warm_starts st.Engine.sat_learned_kept;
+  Fmt.pr "sat solving        %d learned kept@." st.Engine.sat_learned_kept;
   match st.Engine.wal_records with
   | Some k -> Fmt.pr "WAL records        %d since last checkpoint@." k
   | None -> ()
@@ -425,7 +424,7 @@ let recover_cmd =
     | Some dir -> (
         let p = Persist.open_dir ~sync dir in
         match
-          Persist.recover ~seed p (atg_of scenario)
+          Persist.recover p (atg_of scenario)
             ~init:(fun () -> init_db scenario n seed data)
         with
         | Error msg ->
@@ -553,7 +552,7 @@ let serve_cmd =
                   ~name
                   ~primary:(parse_peer primary)
                   ~init:(fun () -> init_db scenario n seed data)
-                  ~seed srv)
+                  srv)
               replica_of
           in
           Fmt.pr "serving %s (%s, queue=%d batch=%d); send a Shutdown \
@@ -584,13 +583,13 @@ let serve_cmd =
         match wal with
         | None ->
             finish_engine
-              (Engine.create ~seed (atg_of scenario)
+              (Engine.create (atg_of scenario)
                  (init_db scenario n seed data))
               None
         | Some dir -> (
             let p = Persist.open_dir ~sync dir in
             match
-              Persist.recover ~seed p (atg_of scenario)
+              Persist.recover p (atg_of scenario)
                 ~init:(fun () -> init_db scenario n seed data)
             with
             | Error msg ->

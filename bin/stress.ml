@@ -97,7 +97,7 @@ let run_round round max_n =
   let fanout = 1 + (round mod 4) in
   let p = Synth.default_params ~levels ~fanout ~seed:round n in
   let d = Synth.generate p in
-  let e = Engine.create ~seed:round (Synth.atg ()) d.Synth.db in
+  let e = Engine.create (Synth.atg ()) d.Synth.db in
   let rng = Rng.create (round * 31 + 7) in
   let applied = ref 0 and rejected = ref 0 in
   (* interleave: view deletions / view insertions / base groups *)
@@ -520,7 +520,7 @@ let failover_mode n_writers per_writer n_failovers =
               Some
                 (Follower.start ~wait_ms:50 ~persist:p ~name:"standby"
                    ~primary:(Server.Unix_sock upstream)
-                   ~init:Registrar.sample_db ~seed:20070415 srv)
+                   ~init:Registrar.sample_db srv)
         in
         (p, srv, f)
   in

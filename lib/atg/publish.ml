@@ -29,10 +29,8 @@ let intern (atg : Atg.t) store etype (attr : Tuple.t) =
   in
   Store.gen_id store etype attr ?text ()
 
-(* Per-publish evaluation strategy for star rules: bulk-evaluate each rule
-   once and group by parameter when possible (see Eval.run_grouped) —
-   per-parent evaluation is quadratic over a full view — falling back to
-   per-call evaluation for rules whose parameters are not column-bound. *)
+(* Star-rule evaluation: one call per parent, each against the rule's
+   compiled plan (index-probing on the parameter bindings). *)
 type star_eval = string -> Atg.star_rule -> Tuple.t -> Tuple.t list
 
 let per_call_star_eval (db : Database.t) : star_eval =
@@ -48,26 +46,6 @@ let per_call_star_eval (db : Database.t) : star_eval =
           p
     in
     Eval.run_prepared db plan ~params:attr ()
-
-let bulk_star_eval (atg : Atg.t) (db : Database.t) : star_eval =
-  let cache : (string, Tuple.t -> Tuple.t list) Hashtbl.t = Hashtbl.create 8 in
-  fun etype sr attr ->
-    let lookup =
-      match Hashtbl.find_opt cache etype with
-      | Some l -> l
-      | None ->
-          let nparams = Array.length (Atg.attr_tys atg etype) in
-          let l =
-            match Eval.run_grouped db sr.Atg.query ~nparams with
-            | Some grouped -> fun params -> grouped (Array.to_list params)
-            | None ->
-                let plan = Eval.prepare db sr.Atg.query in
-                fun params -> Eval.run_prepared db plan ~params ()
-          in
-          Hashtbl.replace cache etype l;
-          l
-    in
-    lookup attr
 
 (* Children of a node as (child type, $B, provenance) triples, straight
    from the rules. *)
@@ -138,20 +116,13 @@ let check_acyclic store =
   Store.iter_nodes (fun n -> visit n.Store.id) store
 
 (** [publish atg db] materializes the DAG compression of σ(I).
-    [strategy] selects bulk (default) or per-parent rule evaluation — the
-    per-call variant exists for the ablation benchmark.
     @raise Cyclic_view if the data induces an infinite tree. *)
-let publish ?(strategy = `Bulk) (atg : Atg.t) (db : Database.t) : Store.t =
+let publish (atg : Atg.t) (db : Database.t) : Store.t =
   let store = Store.create () in
   let root_id = intern atg store atg.Atg.dtd.Dtd.root atg.Atg.root_attr in
   Store.set_root store root_id;
   let expanded = Hashtbl.create 1024 in
-  let star_eval =
-    match strategy with
-    | `Bulk -> bulk_star_eval atg db
-    | `Per_call -> per_call_star_eval db
-  in
-  expand_from atg star_eval store expanded [ root_id ];
+  expand_from atg (per_call_star_eval db) store expanded [ root_id ];
   check_acyclic store;
   store
 

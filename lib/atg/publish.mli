@@ -2,8 +2,8 @@
 
     Expansion is top-down from the root, allocating nodes through gen_id:
     the subtree property makes every shared subtree expand once, yielding
-    the DAG compression directly. Star rules are bulk-evaluated (one query
-    per rule, grouped by parent) when their parameters are column-bound. *)
+    the DAG compression directly. Star rules are evaluated once per
+    parent against a plan compiled once per rule. *)
 
 module Store = Rxv_dag.Store
 module Tuple = Rxv_relational.Tuple
@@ -12,15 +12,8 @@ module Database = Rxv_relational.Database
 exception Cyclic_view of string
 (** the base data denotes an infinite tree (e.g. cyclic prerequisites) *)
 
-type star_eval = string -> Atg.star_rule -> Tuple.t -> Tuple.t list
-
-val per_call_star_eval : Database.t -> star_eval
-val bulk_star_eval : Atg.t -> Database.t -> star_eval
-
-val publish : ?strategy:[ `Bulk | `Per_call ] -> Atg.t -> Database.t -> Store.t
-(** materialize the DAG compression of σ(I). [strategy] (default
-    [`Bulk]) selects bulk vs per-parent rule evaluation; the per-call
-    variant exists for the ablation benchmark.
+val publish : Atg.t -> Database.t -> Store.t
+(** materialize the DAG compression of σ(I).
     @raise Cyclic_view when the data induces an infinite tree. *)
 
 val publish_subtree :

@@ -294,7 +294,7 @@ let apply (e : Engine.t) (delta_r : Group_update.t) : (report, string) result
       | Some hook
         when Rxv_relational.Journal.depth (Database.journal db) = 0
              && not (Group_update.is_empty delta_r) ->
-          hook.Engine.on_commit delta_r ~seed:e.Engine.seed
+          hook.Engine.on_commit delta_r
       | Some _ | None -> ());
       Ok
         {

@@ -33,7 +33,7 @@ module Tree = Rxv_xml.Tree
 (** Durability hook (see [Rxv_persist]): fired once per committed
     top-level update or group, outside any open transaction frame. *)
 type wal_hook = {
-  on_commit : Rxv_relational.Group_update.t -> seed:int -> unit;
+  on_commit : Rxv_relational.Group_update.t -> unit;
   records_since_checkpoint : unit -> int;
 }
 
@@ -43,12 +43,11 @@ type t = {
   mutable store : Store.t;
   mutable topo : Topo.t;
   mutable reach : Reach.t;
-  mutable seed : int;  (** WalkSAT seed; bumped per insertion *)
   mutable wal : wal_hook option;
   cache : Eval_cache.t;  (** compiled-plan result cache for the read path *)
   sat : Vinsert.cache;
       (** incremental insertion-translation state: structural CNF
-          skeletons, gen_A row sets and warm-start models *)
+          skeletons and gen_A row sets *)
   live_reads : int Atomic.t;  (** queries answered on the live structures *)
   snapshot_reads : int Atomic.t;  (** queries answered on frozen views *)
 }
@@ -98,9 +97,8 @@ let pp_rejection ppf = function
         (if n > rejection_id_preview then ", …" else "")
   | Untranslatable msg -> Fmt.pf ppf "untranslatable: %s" msg
 
-(** [create atg db] publishes σ(I) and builds L and M. [seed] starts the
-    WalkSAT seed sequence (deterministic by default). *)
-let create ?(seed = 20070415) (atg : Atg.t) (db : Database.t) : t =
+(** [create atg db] publishes σ(I) and builds L and M. *)
+let create (atg : Atg.t) (db : Database.t) : t =
   let store = Publish.publish atg db in
   let topo = Topo.of_store store in
   let reach = Reach.compute store topo in
@@ -113,7 +111,6 @@ let create ?(seed = 20070415) (atg : Atg.t) (db : Database.t) : t =
     store;
     topo;
     reach;
-    seed;
     wal = None;
     cache = Eval_cache.create ();
     sat = Vinsert.create_cache ();
@@ -124,8 +121,7 @@ let create ?(seed = 20070415) (atg : Atg.t) (db : Database.t) : t =
 (** [of_durable atg db store] assembles an engine from recovered
     components: L and M are rebuilt from the deserialized store, which
     skips republication (the expensive SPJ evaluation) entirely. *)
-let of_durable ?(seed = 20070415) (atg : Atg.t) (db : Database.t)
-    (store : Store.t) : t =
+let of_durable (atg : Atg.t) (db : Database.t) (store : Store.t) : t =
   let topo = Topo.of_store store in
   let reach = Reach.compute store topo in
   Log.info (fun m ->
@@ -137,7 +133,6 @@ let of_durable ?(seed = 20070415) (atg : Atg.t) (db : Database.t)
     store;
     topo;
     reach;
-    seed;
     wal = None;
     cache = Eval_cache.create ();
     sat = Vinsert.create_cache ();
@@ -156,15 +151,14 @@ let wal_attached (e : t) = e.wal <> None
     site is top-level: 0 for a plain [apply] (logged after its commit),
     1 for [apply_group] (logged {e inside} its own frame, just before
     commit, so a failed append can still abort the group). Pure no-ops
-    (empty ΔR, unchanged seed) are skipped: the view is a function of
-    the database, so they carry no durable state. *)
-let wal_log ?(depth = 0) (e : t) ~(seed_before : int)
-    (delta_r : Group_update.t) : unit =
+    (empty ΔR) are skipped: the view is a function of the database, so
+    they carry no durable state. *)
+let wal_log ?(depth = 0) (e : t) (delta_r : Group_update.t) : unit =
   match e.wal with
   | Some hook
     when Rxv_relational.Journal.depth (Database.journal e.db) = depth
-         && (not (Group_update.is_empty delta_r) || e.seed <> seed_before) ->
-      hook.on_commit delta_r ~seed:e.seed
+         && not (Group_update.is_empty delta_r) ->
+      hook.on_commit delta_r
   | Some _ | None -> ()
 
 let now () = Unix.gettimeofday ()
@@ -281,11 +275,9 @@ let apply_insert (e : t) ~(policy : policy) ~etype ~attr path :
                    ~side_effects:ev.Dag_eval.side_effects
                    ~timings:{ no_timings with t_eval } ())
             else begin
-              e.seed <- e.seed + 1;
               match
                 Vinsert.translate e.atg e.db e.store
-                  ~connect_edges:tr.Xupdate.connect_edges ~seed:e.seed
-                  ~cache:e.sat ()
+                  ~connect_edges:tr.Xupdate.connect_edges ~cache:e.sat ()
               with
               | Vinsert.Rejected msg ->
                   Xupdate.rollback_subtree e.store
@@ -361,7 +353,6 @@ let apply_insert (e : t) ~(policy : policy) ~etype ~attr path :
 (** [apply e u ~policy] processes one XML view update end to end. *)
 let apply ?(policy : policy = `Proceed) (e : t) (u : Xupdate.t) :
     (report, rejection) Stdlib.result =
-  let seed_before = e.seed in
   let result =
     match u with
     | Xupdate.Delete path -> apply_delete e ~policy path
@@ -370,7 +361,7 @@ let apply ?(policy : policy = `Proceed) (e : t) (u : Xupdate.t) :
   in
   (match result with
   | Ok r ->
-      wal_log e ~seed_before r.delta_r;
+      wal_log e r.delta_r;
       Log.info (fun m ->
           m "%a: applied, |ΔR|=%d, %d selected%s" Xupdate.pp u
             (Group_update.size r.delta_r)
@@ -433,7 +424,6 @@ type stats = {
       (** insertion translations served by a cached CNF skeleton *)
   sat_skeleton_misses : int;  (** translations that built a skeleton *)
   sat_learned_kept : int;  (** CDCL learned clauses retained *)
-  sat_warm_starts : int;  (** solves answered from a previous model *)
 }
 
 let stats (e : t) : stats =
@@ -477,32 +467,31 @@ let stats (e : t) : stats =
     sat_skeleton_hits = sc.Vinsert.skeleton_hits;
     sat_skeleton_misses = sc.Vinsert.skeleton_misses;
     sat_learned_kept = sc.Vinsert.learned_kept;
-    sat_warm_starts = sc.Vinsert.warm_starts;
   }
 
 (** {2 Transactions}
 
     One engine transaction is one undo-journal frame on each of the five
     mutable components (the database's shared relation journal, the
-    store's, L's, M's, and the query cache's dirty marks), plus the saved
-    WalkSAT seed. Mutation entry
-    points record exact inverses at their sites, so {!txn_abort} replays
-    O(Δ) inverse operations — not the O(view) deep copies the previous
+    store's, L's, M's, and the query cache's dirty marks). Mutation
+    entry points record exact inverses at their sites, so {!txn_abort}
+    replays O(Δ) inverse operations — not the O(view) deep copies the previous
     snapshot/restore implementation paid. [apply_group] and [dry_run]
     run on top of the same frames. *)
 
 module Txn = struct
-  type handle = { t_seed : int }
+  (* the frame token: frames are positional, so it carries no state —
+     it only makes every [begin_] pair with one [commit] or [abort] *)
+  type handle = unit
 
   let begin_ (e : t) : handle =
     Database.begin_ e.db;
     Store.begin_ e.store;
     Topo.begin_ e.topo;
     Reach.begin_ e.reach;
-    Eval_cache.begin_ e.cache;
-    { t_seed = e.seed }
+    Eval_cache.begin_ e.cache
 
-  let commit (e : t) (_ : handle) : unit =
+  let commit (e : t) (() : handle) : unit =
     Eval_cache.commit e.cache;
     Reach.commit e.reach;
     Topo.commit e.topo;
@@ -512,22 +501,15 @@ module Txn = struct
   (* The five journals are independent — no undo closure reaches across
      structures — so abort order is free; reverse of [begin_] for
      hygiene. *)
-  let abort (e : t) (h : handle) : unit =
+  let abort (e : t) (() : handle) : unit =
     Eval_cache.abort e.cache;
     Reach.abort e.reach;
     Topo.abort e.topo;
     Store.abort e.store;
-    Database.abort e.db;
-    e.seed <- h.t_seed
-
-  (* [mark]/[rollback_to]: the savepoint reading of the same frames —
-     the names the old [snapshot]/[restore] API should have had, freed
-     up now that "snapshot" means an MVCC read view ({!Snapshot}) *)
-  let mark = begin_
-  let rollback_to = abort
+    Database.abort e.db
 end
 
-(** [reset_from e db store seed] installs recovered state into a live
+(** [reset_from e db store] installs recovered state into a live
     engine in place — the replication follower's checkpoint-install path.
     Mirrors {!of_durable} (rebuild L and M from the store rather than
     republishing) but keeps the engine identity, so callers holding [e]
@@ -535,15 +517,13 @@ end
     cache is conservatively flushed: nothing computed against the old
     state may survive. Must not be called with a transaction frame
     open. *)
-let reset_from (e : t) (db : Database.t) (store : Store.t) ~(seed : int) :
-    unit =
+let reset_from (e : t) (db : Database.t) (store : Store.t) : unit =
   if Rxv_relational.Journal.depth (Database.journal e.db) > 0 then
     invalid_arg "Engine.reset_from: transaction frame open";
   e.db <- db;
   e.store <- store;
   e.topo <- Topo.of_store store;
   e.reach <- Reach.compute store e.topo;
-  e.seed <- seed;
   Eval_cache.invalidate_all e.cache ~slot_capacity:(Store.slot_capacity store);
   (* skeletons reference registries of the replaced store *)
   Vinsert.clear_cache e.sat;
@@ -686,7 +666,6 @@ module Snapshot = struct
             sat_skeleton_hits = s.sat_counters.Vinsert.skeleton_hits;
             sat_skeleton_misses = s.sat_counters.Vinsert.skeleton_misses;
             sat_learned_kept = s.sat_counters.Vinsert.learned_kept;
-            sat_warm_starts = s.sat_counters.Vinsert.warm_starts;
           }
         in
         s.stats_memo <- Some st;
@@ -698,7 +677,6 @@ end
     before the group; on rejection the failing index is returned. *)
 let apply_group ?(policy : policy = `Proceed) (e : t) (us : Xupdate.t list) :
     (report list, int * rejection) Stdlib.result =
-  let seed_before = e.seed in
   let txn = Txn.begin_ e in
   let rec go i acc = function
     | [] -> (
@@ -709,7 +687,7 @@ let apply_group ?(policy : policy = `Proceed) (e : t) (us : Xupdate.t list) :
            (disk error, torn append) the whole group rolls back at O(Δ)
            cost instead of leaving the engine ahead of its own log. *)
         match
-          wal_log ~depth:1 e ~seed_before
+          wal_log ~depth:1 e
             (List.concat_map (fun r -> r.delta_r) reports)
         with
         | () ->

@@ -18,11 +18,11 @@ module Atg = Rxv_atg.Atg
 (** Durability hook: a write-ahead log attached to the engine (see
     [Rxv_persist]). [on_commit] is invoked once per committed top-level
     update or update group — never inside an open transaction frame, so
-    aborted groups and dry runs are not logged — with the combined ΔR
-    and the WalkSAT seed after the commit. [records_since_checkpoint]
-    backs the {!stats} field of the same name. *)
+    aborted groups and dry runs are not logged — with the combined ΔR,
+    and only when that ΔR is nonempty. [records_since_checkpoint] backs
+    the {!stats} field of the same name. *)
 type wal_hook = {
-  on_commit : Group_update.t -> seed:int -> unit;
+  on_commit : Group_update.t -> unit;
   records_since_checkpoint : unit -> int;
 }
 
@@ -32,15 +32,14 @@ type t = {
   mutable store : Store.t;
   mutable topo : Topo.t;
   mutable reach : Reach.t;
-  mutable seed : int;
   mutable wal : wal_hook option;
   cache : Eval_cache.t;
       (** compiled-plan result cache; all reads via {!query} go through
           it, and every mutation path invalidates it incrementally *)
   sat : Vinsert.cache;
       (** incremental insertion-translation state (structural CNF
-          skeletons, gen_A row sets, warm-start models) — purely an
-          accelerator, dropped wholesale by {!reset_from} *)
+          skeletons, gen_A row sets) — purely an accelerator, dropped
+          wholesale by {!reset_from} *)
   live_reads : int Atomic.t;
       (** cumulative {!query} calls (answered on the live structures,
           i.e. under whatever lock the caller holds) *)
@@ -83,17 +82,14 @@ val pp_rejection : Format.formatter -> rejection -> unit
 (** [Side_effects] prints the offending-parent count and a bounded prefix
     of the node ids (first 8, then an ellipsis) *)
 
-val create : ?seed:int -> Atg.t -> Database.t -> t
-(** publish σ(I) and build L and M. [seed] starts the WalkSAT seed
-    sequence; it defaults to a fixed constant, so runs are deterministic
-    unless a caller opts into a different stream. *)
+val create : Atg.t -> Database.t -> t
+(** publish σ(I) and build L and M *)
 
-val of_durable : ?seed:int -> Atg.t -> Database.t -> Store.t -> t
+val of_durable : Atg.t -> Database.t -> Store.t -> t
 (** assemble an engine from recovered components — a deserialized base
     database and DAG store — rebuilding L ({!Topo.of_store}) and M
     ({!Reach.compute}) instead of republishing; the recovery entry point
-    of [Rxv_persist]. [seed] must be the checkpoint's saved seed for
-    deterministic continuation. *)
+    of [Rxv_persist]. *)
 
 val attach_wal : t -> wal_hook -> unit
 (** install the durability hook; replaces any previous one *)
@@ -145,7 +141,6 @@ type stats = {
   sat_skeleton_misses : int;  (** translations that built a skeleton *)
   sat_learned_kept : int;
       (** CDCL learned clauses retained across canonicalization probes *)
-  sat_warm_starts : int;  (** solves answered from a previous model *)
 }
 
 val stats : t -> stats
@@ -153,18 +148,19 @@ val stats : t -> stats
 (** {2 Transactions}
 
     An engine transaction is one undo-journal frame on each mutable
-    component (database, store, L, M, query-cache dirty marks) plus the
-    saved seed: every mutation
-    entry point records its exact inverse, so rollback replays O(Δ)
-    inverse operations instead of restoring O(view) deep copies.
+    component (database, store, L, M, query-cache dirty marks): every
+    mutation entry point records its exact inverse, so rollback replays
+    O(Δ) inverse operations instead of restoring O(view) deep copies.
     Transactions nest; each handle must be resolved exactly once, with
     the innermost open frame resolved first. *)
 
 module Txn : sig
   type handle
+  (** the frame token: pairs one {!begin_} with its {!commit} or
+      {!abort} *)
 
   val begin_ : t -> handle
-  (** open a frame on every component and save the seed — O(1) *)
+  (** open a frame on every component — O(1) *)
 
   val commit : t -> handle -> unit
   (** keep the frame's effects, folding its undo entries into any
@@ -172,20 +168,13 @@ module Txn : sig
 
   val abort : t -> handle -> unit
   (** roll the engine back to the matching {!begin_}, in O(Δ) *)
-
-  val mark : t -> handle
-  (** savepoint reading of {!begin_} — the name the legacy
-      [Engine.snapshot] should have had *)
-
-  val rollback_to : t -> handle -> unit
-  (** alias for {!abort}, pairing with {!mark} *)
 end
 
-val reset_from : t -> Database.t -> Store.t -> seed:int -> unit
+val reset_from : t -> Database.t -> Store.t -> unit
 (** install recovered state (a shipped checkpoint) into a live engine in
     place: set the database and DAG store, rebuild L and M from the
-    store (as {!of_durable} does), adopt [seed], and conservatively
-    flush the query cache. The engine identity is preserved, so callers
+    store (as {!of_durable} does), and conservatively flush the query
+    cache. The engine identity is preserved, so callers
     holding it behind a lock observe the new state on their next access
     — the replication follower's checkpoint-install path.
     @raise Invalid_argument if a transaction frame is open. *)

@@ -25,21 +25,19 @@
        finite-domain condition → add ¬φ to the SAT instance (case (c));
        any freshenable variable involved → condition dropped (case (b)).
 
-    3. {b Solve & instantiate.} WalkSAT [30] — warm-started from the last
-       successful assignment when a cache is supplied — with the
-       incremental CDCL core {!Rxv_sat.Inc} as the complete fallback,
-       yields the finite-domain values; the witness is then canonicalized
-       to the lexicographically minimal model by CDCL assumption probes,
-       so the outcome is independent of which solver found it (and of any
-       cached warm state). Freshenable variables get surrogates outside
-       the active domain; ΔR and the provenance rows of the new edges
-       fall out by substitution.
+    3. {b Solve & instantiate.} The paper hands the instance to WalkSAT
+       [30]; here the complete CDCL core {!Rxv_sat.Inc} decides it (an
+       empty CNF — every benchmark insertion — needs no solver: all
+       variables false). A witness is canonicalized to the
+       lexicographically minimal model by CDCL assumption probes, so the
+       outcome is a function of the formula alone. Freshenable variables
+       get surrogates outside the active domain; ΔR and the provenance
+       rows of the new edges fall out by substitution.
 
     {b Skeleton caching.} The expensive structural work — the augmented
-    "+gen" queries per U/A choice, the per-registry gen_A row sets with
-    their join indexes, and the solved model — depends only on the ATG
-    production set and which relations carry templates, not on the
-    concrete update. A {!cache} (one per engine) keys that skeleton on
+    "+gen" queries per U/A choice and the per-registry gen_A row sets
+    with their join indexes — depends only on the ATG production set
+    and which relations carry templates, not on the concrete update. A {!cache} (one per engine) keys that skeleton on
     the sorted template-relation signature and revalidates gen_A rows by
     {!Store.gen_view} stamps, so steady-state translations rebuild only
     the per-update template/clause layer. *)
@@ -54,7 +52,6 @@ module Symbolic = Rxv_relational.Symbolic
 module Group_update = Rxv_relational.Group_update
 module Atg = Rxv_atg.Atg
 module Cnf = Rxv_sat.Cnf
-module Walksat = Rxv_sat.Walksat
 module Inc = Rxv_sat.Inc
 
 type outcome =
@@ -324,15 +321,8 @@ type rule_plan = {
 }
 
 (* The structural skeleton for one template-relation signature: the rule
-   plans, plus the last successfully solved CNF and its canonical model
-   (the warm-start state — valid for reuse only when the next instance's
-   CNF is literally identical, which isomorphic updates produce because
-   CNF variables are interned by name). *)
-type skeleton = {
-  sk_rules : rule_plan list;
-  mutable sk_cnf : (int * Cnf.clause array) option;
-  mutable sk_model : Cnf.assignment option;
-}
+   plans. *)
+type skeleton = rule_plan list
 
 (* Incrementally maintained gen_A pseudo-relation rows (ascending node
    id), revalidated against {!Store.gen_view} stamps: same version ⇒
@@ -358,7 +348,6 @@ type cache = {
   mutable c_hits : int;
   mutable c_misses : int;
   mutable c_learned : int;
-  mutable c_warm : int;
 }
 
 let create_cache () =
@@ -369,7 +358,6 @@ let create_cache () =
     c_hits = 0;
     c_misses = 0;
     c_learned = 0;
-    c_warm = 0;
   }
 
 let clear_cache c =
@@ -377,19 +365,12 @@ let clear_cache c =
   Hashtbl.reset c.c_skeletons;
   Hashtbl.reset c.c_gens
 
-let drop_warm c =
-  Hashtbl.iter
-    (fun _ sk ->
-      sk.sk_cnf <- None;
-      sk.sk_model <- None)
-    c.c_skeletons
-
 let counters c =
   {
     skeleton_hits = c.c_hits;
     skeleton_misses = c.c_misses;
     learned_kept = c.c_learned;
-    warm_starts = c.c_warm;
+    warm_starts = 0;
   }
 
 (* Build the rule plans for the current template signature. Everything
@@ -510,9 +491,7 @@ let build_skeleton (atg : Atg.t) (schema : Schema.db)
         }
     end
   in
-  { sk_rules = List.filter_map plan_rule (Atg.star_rules atg);
-    sk_cnf = None;
-    sk_model = None }
+  List.filter_map plan_rule (Atg.star_rules atg)
 
 (* gen_A rows as a symbolic source, reusing (and extending) the cached
    indexed row set when the registry stamps allow *)
@@ -556,9 +535,9 @@ let gen_source cache store a_type nparams =
    preferred) of [cnf], reached from any satisfying [witness] by CDCL
    assumption probes: fix variables left to right, testing with ¬v under
    the fixed prefix whenever the running model has v true. The result
-   depends only on the formula — not on the witness, the solver that
-   produced it, or any warm-start state — which is what makes cached and
-   cold translations byte-identical. *)
+   depends only on the formula — not on the witness the solver happened
+   to find — which is what makes cached and cold translations
+   byte-identical. *)
 let canonical_model (inc : Inc.t) nv (witness : Cnf.assignment) :
     Cnf.assignment =
   let m = ref witness in
@@ -581,8 +560,7 @@ let canonical_model (inc : Inc.t) nv (witness : Cnf.assignment) :
 (* ---------- the translation ---------- *)
 
 let translate (atg : Atg.t) (db : Database.t) (store : Store.t)
-    ~(connect_edges : (int * int) list) ?(seed = 42) ?cache
-    ?(warm_start = true) () : outcome =
+    ~(connect_edges : (int * int) list) ?cache () : outcome =
   let cache = match cache with Some c -> c | None -> create_cache () in
   (match cache.c_atg with
   | Some a when a != atg -> clear_cache cache
@@ -811,7 +789,7 @@ let translate (atg : Atg.t) (db : Database.t) (store : Store.t)
               rows)
           rp.rp_choices
       in
-      List.iter scan_rule sk.sk_rules;
+      List.iter scan_rule sk;
       (* -- step 3: SAT over finite-domain variables -- *)
       let prop_of_eq : (int * Value.t, int) Hashtbl.t = Hashtbl.create 16 in
       let domain_vars : (int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -879,62 +857,21 @@ let translate (atg : Atg.t) (db : Database.t) (store : Store.t)
           | None -> ())
         domain_vars;
       let t_solve = now_ms () in
-      (* -- solve: identical-CNF reuse → warm / cold WalkSAT → complete
-         CDCL — any witness is then canonicalized, so every path yields
-         the same model -- *)
+      (* -- solve: complete CDCL, then canonicalize the witness to the
+         lex-min model, so the outcome is a function of the formula -- *)
       let nv = Cnf.nvars cnf in
       let model =
         if Cnf.nclauses cnf = 0 then Some (Array.make (nv + 1) false)
         else begin
-          let cnf_key = (nv, Cnf.clauses cnf) in
-          let identical =
-            match (sk.sk_cnf, sk.sk_model) with
-            | Some k, (Some _ as m) when warm_start && k = cnf_key -> m
-            | _ -> None
+          let inc = Inc.create () in
+          Inc.add_cnf inc cnf;
+          let model =
+            match Inc.solve inc with
+            | Inc.Sat w -> Some (canonical_model inc nv w)
+            | Inc.Unsat -> None
           in
-          match identical with
-          | Some _ as m ->
-              (* same formula as the previous solve for this skeleton:
-                 the stored canonical model is the answer, no search *)
-              cache.c_warm <- cache.c_warm + 1;
-              m
-          | None ->
-              let witness =
-                let warm =
-                  match sk.sk_model with
-                  | Some prev when warm_start -> (
-                      match Walksat.solve_result ~seed ~init:prev cnf with
-                      | Walksat.Sat a ->
-                          cache.c_warm <- cache.c_warm + 1;
-                          Some a
-                      | Walksat.Unknown -> None)
-                  | _ -> None
-                in
-                match warm with
-                | Some a -> Some a
-                | None -> (
-                    match Walksat.solve_result ~seed cnf with
-                    | Walksat.Sat a -> Some a
-                    | Walksat.Unknown -> None)
-              in
-              let inc = Inc.create () in
-              Inc.add_cnf inc cnf;
-              let model =
-                match witness with
-                | Some w -> Some (canonical_model inc nv w)
-                | None -> (
-                    (* complete fallback: decide the instance exactly *)
-                    match Inc.solve inc with
-                    | Inc.Sat w -> Some (canonical_model inc nv w)
-                    | Inc.Unsat -> None)
-              in
-              cache.c_learned <- cache.c_learned + Inc.n_learned inc;
-              (match model with
-              | Some m ->
-                  sk.sk_cnf <- Some cnf_key;
-                  sk.sk_model <- Some m
-              | None -> ());
-              model
+          cache.c_learned <- cache.c_learned + Inc.n_learned inc;
+          model
         end
       in
       let t_solved = now_ms () in

@@ -6,18 +6,16 @@ module Store = Rxv_dag.Store
 
 type meta = {
   atg_name : string;
-  seed : int;
   generation : int;
   epoch : int;
   boundaries : (int * int) list;
 }
 
 let magic = "RXVC"
-let version = 2
+let version = 3
 
 let encode_meta b (m : meta) =
   Codec.bytes_ b m.atg_name;
-  Codec.varint b m.seed;
   Codec.varint b m.generation;
   Codec.varint b m.epoch;
   Codec.list_
@@ -28,7 +26,6 @@ let encode_meta b (m : meta) =
 
 let decode_meta c =
   let atg_name = Codec.get_bytes c in
-  let seed = Codec.get_varint c in
   let generation = Codec.get_varint c in
   let epoch = Codec.get_varint c in
   let boundaries =
@@ -39,7 +36,7 @@ let decode_meta c =
         (e, b))
       c
   in
-  { atg_name; seed; generation; epoch; boundaries }
+  { atg_name; generation; epoch; boundaries }
 
 let fsync_dir dir =
   (* persist the rename itself; directories cannot be fsynced on some

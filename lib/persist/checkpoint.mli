@@ -1,6 +1,6 @@
 (** Checkpoints: one atomic file holding the base database and the DAG
     store's persisted form, plus a small header (format magic/version,
-    ATG name, WalkSAT seed, generation).
+    ATG name, generation, epoch history).
 
     L and M are deliberately {e not} serialized: both are rebuilt from
     the store on load ([Topo.of_store] / [Reach.compute]), which keeps
@@ -22,7 +22,6 @@ type meta = {
   atg_name : string;
       (** the ATG is code, not data — recovery re-supplies it and the
           name guards against loading a checkpoint into the wrong one *)
-  seed : int;  (** WalkSAT seed at checkpoint time *)
   generation : int;
   epoch : int;  (** replication epoch (term) at checkpoint time *)
   boundaries : (int * int) list;

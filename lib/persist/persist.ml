@@ -23,7 +23,6 @@ type session = {
 
 type record =
   | Group of {
-      seed : int;
       epoch : int;
       origin : origin option;
       group : Group_update.t;
@@ -83,23 +82,26 @@ let rec mkdir_p dir =
 
 (* {2 Record codec}
 
-   Every WAL payload starts with a varint tag. Tag 0 ([Group]) is a
-   committed update group — the post-commit WalkSAT seed, an optional
-   client origin, and the ΔR ops. Tag 1 ([Sessions]) is a snapshot of the
+   Every WAL payload starts with a varint tag. Tag 3 ([Group]) is a
+   committed update group — its epoch stamp, an optional client origin,
+   and the ΔR ops. Tag 1 ([Sessions]) is a snapshot of the
    server's exactly-once dedup table, written as the first record of each
    new generation's WAL at checkpoint rotation so the table survives log
    deletion. Keeping an origin {e inside} the same record as its group is
    the exactly-once invariant: replaying a prefix of the log yields a
-   dedup table that matches the replayed database state bit for bit. *)
+   dedup table that matches the replayed database state bit for bit.
 
-let tag_group = 0
+   Tag 0 was the earlier group layout, which also carried a solver seed.
+   It is retired rather than reused, so such a record fails to decode as
+   an unknown tag instead of being misread under the new layout. *)
+
 let tag_sessions = 1
 let tag_epoch = 2
+let tag_group = 3
 
-let encode_record ?origin ?(epoch = 0) ~seed (g : Group_update.t) =
+let encode_record ?origin ?(epoch = 0) (g : Group_update.t) =
   let b = Buffer.create 128 in
   Codec.varint b tag_group;
-  Codec.varint b seed;
   Codec.varint b epoch;
   (match origin with
   | None -> Codec.varint b 0
@@ -144,7 +146,6 @@ let decode_record payload =
   let tag = Codec.get_varint c in
   let r =
     if tag = tag_group then begin
-      let seed = Codec.get_varint c in
       let epoch = Codec.get_varint c in
       let origin =
         match Codec.get_varint c with
@@ -158,7 +159,7 @@ let decode_record payload =
         | n -> raise (Codec.Error (Printf.sprintf "bad origin marker %d" n))
       in
       let group = Codec.get_group c in
-      Group { seed; epoch; origin; group }
+      Group { epoch; origin; group }
     end
     else if tag = tag_sessions then begin
       let last_commit = Codec.get_varint c in
@@ -342,22 +343,22 @@ let take_origin t =
 let tap_group t payload =
   match t.tap with Some tap -> tap.on_group payload | None -> ()
 
-let append t ~seed group =
+let append t group =
   let origin = take_origin t in
-  let payload = encode_record ?origin ~epoch:t.epoch ~seed group in
+  let payload = encode_record ?origin ~epoch:t.epoch group in
   Wal.append (current_writer t) payload;
   t.records_since_ckpt <- t.records_since_ckpt + 1;
   tap_group t payload
 
-let append_nosync t ~seed group =
+let append_nosync t group =
   let origin = take_origin t in
-  let payload = encode_record ?origin ~epoch:t.epoch ~seed group in
+  let payload = encode_record ?origin ~epoch:t.epoch group in
   Wal.append_nosync (current_writer t) payload;
   t.records_since_ckpt <- t.records_since_ckpt + 1;
   tap_group t payload
 
 (* a durable follower's apply path: log the replicated record byte for
-   byte (preserving the primary's seed, epoch and origin stamps, so
+   byte (preserving the primary's epoch and origin stamps, so
    commit numbering and the dedup lineage survive a promotion), buffered
    until an explicit {!sync} like the group-commit path *)
 let append_raw t payload =
@@ -386,7 +387,7 @@ let attach ?(deferred_sync = false) t (e : Engine.t) =
   let log = if deferred_sync then append_nosync else append in
   Engine.attach_wal e
     {
-      Engine.on_commit = (fun group ~seed -> log t ~seed group);
+      Engine.on_commit = log t;
       records_since_checkpoint = (fun () -> t.records_since_ckpt);
     }
 
@@ -430,7 +431,6 @@ let checkpoint ?sessions t (e : Engine.t) =
       Checkpoint.write ~before_rename
         ~path:(checkpoint_path t gen')
         { Checkpoint.atg_name = e.Engine.atg.Atg.name;
-          seed = e.Engine.seed;
           generation = gen';
           epoch = t.epoch;
           boundaries = t.boundaries }
@@ -506,7 +506,7 @@ let replay_wal t gen (e : Engine.t) =
       let groups =
         List.filter_map
           (function
-            | Group { seed; group; _ } -> Some (seed, group)
+            | Group { group; _ } -> Some group
             | Sessions _ | Epoch _ -> None)
           records
       in
@@ -518,10 +518,7 @@ let replay_wal t gen (e : Engine.t) =
              Base_update.apply call reaches the same database — and
              repairs the view once, instead of paying per-record
              localization (the win that makes replay beat republication) *)
-          let batch = List.concat_map snd groups in
-          let final_seed =
-            List.fold_left (fun _ (s, _) -> s) e.Engine.seed groups
-          in
+          let batch = List.concat groups in
           let applied =
             if Group_update.is_empty batch then Ok ()
             else
@@ -530,9 +527,7 @@ let replay_wal t gen (e : Engine.t) =
               | Error msg -> Error ("WAL replay failed to re-apply: " ^ msg)
           in
           match applied with
-          | Ok () ->
-              e.Engine.seed <- final_seed;
-              Ok (List.length groups, damaged)
+          | Ok () -> Ok (List.length groups, damaged)
           | Error _ as err -> err))
 
 let finish t gen ~from_checkpoint (e : Engine.t) =
@@ -548,12 +543,12 @@ let finish t gen ~from_checkpoint (e : Engine.t) =
           { r_generation = gen; r_checkpoint = from_checkpoint;
             r_replayed = replayed; r_truncated = truncated } )
 
-let recover ?seed t (atg : Atg.t) ~init =
+let recover ?seed:_ t (atg : Atg.t) ~init =
   match checkpoint_generations t.t_dir with
   | [] ->
       (* nothing checkpointed yet: deterministic initial publication, then
          whatever generation-0 log survived *)
-      let e = Engine.create ?seed atg (init ()) in
+      let e = Engine.create atg (init ()) in
       finish t 0 ~from_checkpoint:false e
   | gens ->
       let rec try_gens errors = function
@@ -579,9 +574,7 @@ let recover ?seed t (atg : Atg.t) ~init =
                   t.epoch <- max t.epoch meta.Checkpoint.epoch;
                   t.boundaries <-
                     merge_boundaries t.boundaries meta.Checkpoint.boundaries;
-                  let e =
-                    Engine.of_durable ~seed:meta.Checkpoint.seed atg db store
-                  in
+                  let e = Engine.of_durable atg db store in
                   finish t gen ~from_checkpoint:true e
                 end)
       in

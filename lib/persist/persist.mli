@@ -10,8 +10,8 @@
     deterministic initial publication — [wal-0.rxl] replays onto a fresh
     engine, so logging works before the first checkpoint is ever taken.
 
-    Each WAL record is one committed update group: the concatenated ΔR
-    and the WalkSAT seed after the commit. Replay goes through
+    Each WAL group record is one committed update group with a nonempty
+    concatenated ΔR. Replay goes through
     {!Rxv_core.Base_update.apply}, which applies ΔR and repairs the view
     incrementally — the view is a function of the database, so redo
     needs no view-level log. *)
@@ -44,14 +44,12 @@ type session = {
 
 type record =
   | Group of {
-      seed : int;
       epoch : int;
       origin : origin option;
       group : Group_update.t;
     }
-      (** a committed update group: post-commit WalkSAT seed, the
-          replication epoch it committed under, optional client
-          provenance, ΔR ops *)
+      (** a committed update group: the replication epoch it committed
+          under, optional client provenance, ΔR ops *)
   | Sessions of { last_commit : int; sessions : session list }
       (** dedup-table snapshot — first record of each generation's WAL,
           carrying the table across checkpoint rotation *)
@@ -181,9 +179,14 @@ val recover :
     WAL tail — truncating at the first torn or CRC-failing record — and
     return the recovered engine. When no checkpoint file exists at all,
     [init ()] supplies the initial database, the engine is published
-    fresh (generation 0, [seed] applies), and [wal-0.rxl] replays onto
-    it. [Error] if every checkpoint is unreadable or a logged record
-    fails to re-apply. *)
+    fresh (generation 0), and [wal-0.rxl] replays onto it. [Error] if
+    every checkpoint is unreadable or a logged record fails to decode or
+    re-apply.
+
+    [seed] is accepted and ignored: the engine carries no solver seed
+    (insertion translation has one deterministic solver path), but
+    [perfbench/traced.ml] still passes one and the benchmark sources
+    stay fixed across changes to the program. *)
 
 val close : t -> unit
 (** sync and close the current WAL writer, detaching nothing — call
@@ -210,8 +213,8 @@ val checkpoint_blob : t -> (int * int * string) option
 
 val append_raw : t -> string -> unit
 (** append one already-encoded record verbatim (buffered; pair with
-    {!sync}) — the durable follower's apply path. The primary's seed,
-    epoch and origin stamps are preserved byte for byte, so the
+    {!sync}) — the durable follower's apply path. The primary's epoch
+    and origin stamps are preserved byte for byte, so the
     follower's log is promotable: commit numbering and the dedup
     lineage carry over unchanged. Non-group payloads are ignored. *)
 
@@ -243,8 +246,7 @@ val reset_empty : t -> unit
 
 (** {2 Record codec} — exposed for tests and crash-injection harnesses *)
 
-val encode_record :
-  ?origin:origin -> ?epoch:int -> seed:int -> Group_update.t -> string
+val encode_record : ?origin:origin -> ?epoch:int -> Group_update.t -> string
 (** [epoch] defaults to 0 (the pre-failover era) *)
 
 val encode_sessions_record : last_commit:int -> session list -> string

@@ -246,73 +246,3 @@ let run_prepared (db : Database.t) (plan : plan) ?(params = [||]) () :
     {!run_prepared}. *)
 let run (db : Database.t) (q : Spj.t) ?(params = [||]) () : Tuple.t list =
   run_prepared db (prepare db q) ~params ()
-
-(** {2 Bulk evaluation of parameterized queries}
-
-    Publishing evaluates each star rule once per parent node; re-running
-    [run] per parent rebuilds hash indexes and rescans relations, which is
-    quadratic over a whole view. When every parameter is bound to a column
-    by an equality predicate (the common shape of ATG rules, e.g.
-    [p.cno1 = $0]), the query can instead be evaluated *once* with the
-    parameter predicates dropped and the binding columns appended to the
-    projection, then grouped by parameter value — the bulk strategy of
-    schema-directed publishing middleware.
-
-    [run_grouped db q ~nparams] returns [Some lookup] on success, where
-    [lookup params] gives exactly the rows [run db q ~params] would,
-    projected to the original width; [None] when some parameter has no
-    column binding (callers fall back to per-call evaluation). *)
-let run_grouped (db : Database.t) (q : Spj.t) ~(nparams : int) :
-    (Value.t list -> Tuple.t list) option =
-  let binding = Array.make nparams None in
-  List.iter
-    (fun (Spj.Eq (a, b)) ->
-      match (a, b) with
-      | Spj.Col (al, at), Spj.Param k | Spj.Param k, Spj.Col (al, at) ->
-          if k < nparams && binding.(k) = None then
-            binding.(k) <- Some (al, at)
-      | _ -> ())
-    q.Spj.where;
-  if Array.exists (fun b -> b = None) binding then None
-  else begin
-    let col_of k =
-      match binding.(k) with Some (al, at) -> Spj.Col (al, at) | None -> assert false
-    in
-    let subst = function Spj.Param k when k < nparams -> col_of k | op -> op in
-    (* drop the binding predicates themselves; substitute elsewhere *)
-    let where' =
-      List.filter_map
-        (fun (Spj.Eq (a, b)) ->
-          match (a, b) with
-          | Spj.Col (al, at), Spj.Param k | Spj.Param k, Spj.Col (al, at)
-            when k < nparams && binding.(k) = Some (al, at) ->
-              None
-          | _ -> Some (Spj.Eq (subst a, subst b)))
-        q.Spj.where
-    in
-    let width = List.length q.Spj.select in
-    let select' =
-      List.map (fun (n, op) -> (n, subst op)) q.Spj.select
-      @ List.init nparams (fun k -> (Printf.sprintf "$grp%d" k, col_of k))
-    in
-    let q' =
-      Spj.make ~name:(q.Spj.qname ^ "#bulk") ~from:q.Spj.from ~where:where'
-        ~select:select'
-    in
-    let groups : (Value.t list, Tuple.t list) Hashtbl.t = Hashtbl.create 256 in
-    List.iter
-      (fun row ->
-        let key = List.init nparams (fun k -> row.(width + k)) in
-        let prefix = Array.sub row 0 width in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt groups key) in
-        (* run's set semantics deduplicated (prefix, key) pairs; prefixes
-           may still repeat within a group only if they differed in the
-           key columns, which they cannot — so no per-group dedup needed *)
-        Hashtbl.replace groups key (prefix :: prev))
-      (run db q' ());
-    Some
-      (fun params ->
-        match Hashtbl.find_opt groups params with
-        | Some rows -> List.rev rows
-        | None -> [])
-  end

@@ -25,7 +25,6 @@ type t = {
   name : string;
   primary : Server.address;
   init : unit -> Database.t;
-  seed0 : int;
   pull_max : int;
   wait_ms : int;
   fp_prefix : string option;
@@ -133,15 +132,15 @@ let record_origins t origins =
     origins
 
 (* decode a batch of group payloads and fold them into the engine
-   atomically under the exclusive side, adopting the final record's
-   seed. One record = one commit. Returns the group count and the
-   origins they carried (with their delta sizes, for dedup). *)
+   atomically under the exclusive side. One record = one commit.
+   Returns the group count and the origins they carried (with their
+   delta sizes, for dedup). *)
 let apply_to_engine t payloads =
   match
     List.filter_map
       (fun payload ->
         match Persist.decode_record payload with
-        | Persist.Group { seed; origin; group; _ } -> Some (seed, origin, group)
+        | Persist.Group { origin; group; _ } -> Some (origin, group)
         | Persist.Sessions _ | Persist.Epoch _ -> None)
       payloads
   with
@@ -149,29 +148,20 @@ let apply_to_engine t payloads =
   | [] -> Ok (0, [])
   | groups -> (
       let e = Server.engine t.server in
-      let batch = List.concat_map (fun (_, _, g) -> g) groups in
-      let final_seed =
-        List.fold_left (fun _ (s, _, _) -> s) e.Engine.seed groups
-      in
+      let batch = List.concat_map snd groups in
       let applied =
         Server.exclusive t.server (fun () ->
-            let r =
-              if Group_update.is_empty batch then Ok ()
-              else
-                match Base_update.apply e batch with
-                | Ok _ -> Ok ()
-                | Error msg -> Error msg
-            in
-            (match r with
-            | Ok () -> e.Engine.seed <- final_seed
-            | Error _ -> ());
-            r)
+            if Group_update.is_empty batch then Ok ()
+            else
+              match Base_update.apply e batch with
+              | Ok _ -> Ok ()
+              | Error msg -> Error msg)
       in
       match applied with
       | Ok () ->
           let origins =
             List.filter_map
-              (fun (_, o, g) ->
+              (fun (o, g) ->
                 Option.map (fun o -> (o, List.length g)) o)
               groups
           in
@@ -186,7 +176,7 @@ let install_fresh t =
   let db = t.init () in
   let store = Rxv_atg.Publish.publish e.Engine.atg db in
   Server.exclusive t.server (fun () ->
-      Engine.reset_from e db store ~seed:t.seed0);
+      Engine.reset_from e db store);
   (match t.persist with Some p -> Persist.reset_empty p | None -> ());
   t.after_ <- 0;
   t.n_resets <- t.n_resets + 1;
@@ -218,7 +208,7 @@ let install_ckpt t ~generation ~base ~sessions bytes =
                  meta.Checkpoint.atg_name e.Engine.atg.Atg.name)
           else begin
             Server.exclusive t.server (fun () ->
-                Engine.reset_from e db store ~seed:meta.Checkpoint.seed);
+                Engine.reset_from e db store);
             (* adopt the image as our own recovery root, and its dedup
                snapshot as ours — a restart (or a promotion) then starts
                from exactly the state the primary would *)
@@ -285,16 +275,16 @@ let rebuild_from_disk t p =
   let e = Server.engine t.server in
   let gen = Persist.generation p in
   (match Checkpoint.read (Persist.checkpoint_path p gen) with
-  | Ok (meta, db, store) ->
+  | Ok (_, db, store) ->
       Server.exclusive t.server (fun () ->
-          Engine.reset_from e db store ~seed:meta.Checkpoint.seed)
+          Engine.reset_from e db store)
   | Error _ ->
       (* generation 0 has no image: restart from the deterministic
          initial publication *)
       let db = t.init () in
       let store = Rxv_atg.Publish.publish e.Engine.atg db in
       Server.exclusive t.server (fun () ->
-          Engine.reset_from e db store ~seed:t.seed0));
+          Engine.reset_from e db store));
   let base = Persist.recovered_base p in
   let last = Persist.recovered_last_commit p in
   t.after_ <- base;
@@ -540,14 +530,13 @@ let stop t =
   | _ -> ())
 
 let start ?(pull_max = 512) ?(wait_ms = 200) ?fp_prefix ?persist ?auto_promote
-    ?(peers = []) ~name ~primary ~init ~seed server =
+    ?(peers = []) ~name ~primary ~init server =
   let t =
     {
       server;
       name;
       primary;
       init;
-      seed0 = seed;
       pull_max = Stdlib.max 1 pull_max;
       wait_ms = Stdlib.max 0 wait_ms;
       fp_prefix;

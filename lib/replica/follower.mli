@@ -13,10 +13,10 @@
     - {b tail-stream} — [Repl_pull] batches of encoded group records
       (each one committed update group), decode, concatenate, apply
       under the server's exclusive side ({!Rxv_core.Base_update.apply}
-      repairs the view incrementally), adopt the last record's WalkSAT
-      seed, and publish a fresh MVCC snapshot gating reads up to the new
-      commit number. With [persist], each pulled record is also appended
-      {e verbatim} to the follower's own WAL and synced before the
+      repairs the view incrementally), and publish a fresh MVCC
+      snapshot gating reads up to the new commit number. With
+      [persist], each pulled record is also appended {e verbatim} to
+      the follower's own WAL and synced before the
       position advances — the local log stays byte-identical to the
       primary's committed prefix, which is what makes the node
       promotable — and each record's client origin is folded into the
@@ -63,12 +63,11 @@ val start :
   name:string ->
   primary:Server.address ->
   init:(unit -> Database.t) ->
-  seed:int ->
   Server.t ->
   t
 (** spawn the replication loop feeding [server] (which must run with
-    role [`Replica] and the {e same} ATG and generation-0 [init]/[seed]
-    as the primary — checkpoint installs verify the ATG name). Installs
+    role [`Replica] and the {e same} ATG and generation-0 [init] as
+    the primary — checkpoint installs verify the ATG name). Installs
     the server's promote hook (stop this loop) and leader hint (the
     [primary] address), so {!Rxv_server.Server.promote} and [Fenced]
     redirects work out of the box.

@@ -1,7 +1,7 @@
 (** Deterministic pseudo-random numbers (splitmix64).
 
-    WalkSAT is randomized; reproducible experiments (Section 5 reports
-    averages of repeated runs) need a seedable generator that does not
+    Dataset generation, workloads and fault injection are randomized;
+    reproducible experiments (Section 5 reports averages of repeated runs) need a seedable generator that does not
     depend on global state, so we implement splitmix64 rather than using
     [Stdlib.Random]. *)
 

@@ -1,6 +1,7 @@
-(** Deterministic pseudo-random numbers (splitmix64). WalkSAT is
-    randomized; reproducible experiments need a seedable generator free of
-    global state. *)
+(** Deterministic pseudo-random numbers (splitmix64). Dataset
+    generation, workloads, fault injection and retry backoff are
+    randomized; reproducible experiments need a seedable generator free
+    of global state. *)
 
 type t
 

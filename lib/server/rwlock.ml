@@ -13,8 +13,6 @@ type t = {
          queued during the phase may enter even though another writer is
          already waiting; each entry consumes one token, so the next
          write phase starts only after that cohort has been served *)
-  read_acquisitions : int Atomic.t;
-      (* cumulative shared-mode acquisitions, for stats *)
 }
 
 let create () =
@@ -27,7 +25,6 @@ let create () =
     waiting_writers = 0;
     waiting_readers = 0;
     reader_tokens = 0;
-    read_acquisitions = Atomic.make 0;
   }
 
 let read_lock t =
@@ -39,7 +36,6 @@ let read_lock t =
   done;
   if t.reader_tokens > 0 then t.reader_tokens <- t.reader_tokens - 1;
   Atomic.incr t.readers;
-  Atomic.incr t.read_acquisitions;
   Mutex.unlock t.m
 
 let read_unlock t =
@@ -76,4 +72,3 @@ let with_write t f =
   Fun.protect ~finally:(fun () -> write_unlock t) f
 
 let readers t = Atomic.get t.readers
-let read_acquisitions t = Atomic.get t.read_acquisitions

@@ -32,8 +32,3 @@ val readers : t -> int
     stats thread reading it without the internal mutex sees an exact
     (if instantly stale) count — not the torn value the old plain-field
     "racy snapshot" could return. *)
-
-val read_acquisitions : t -> int
-(** cumulative shared-mode acquisitions since {!create} — the
-    denominator for lock-contention stats (how many reads paid for the
-    lock at all, versus the engine's lock-free snapshot reads) *)

@@ -17,7 +17,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type address = Unix_sock of string | Tcp of string * int
 
-type read_mode = [ `Locked | `Snapshot ]
 type role = [ `Primary | `Replica ]
 
 type config = {
@@ -26,13 +25,12 @@ type config = {
   max_listed : int;
   probe_interval : float;
   max_sessions : int;
-  read_mode : read_mode;
   role : role;
 }
 
 let default_config =
   { queue_cap = 128; batch_cap = 64; max_listed = 32; probe_interval = 0.25;
-    max_sessions = 1024; read_mode = `Snapshot; role = `Primary }
+    max_sessions = 1024; role = `Primary }
 
 (* bound on records per Repl_frames reply, whatever the puller asks
    for: keeps one reply's memory and frame size proportionate *)
@@ -300,17 +298,11 @@ let selected_of t (r : Dag_eval.result) =
 let handle_query t src =
   match parse_path src with
   | Error msg -> Proto.Error msg
-  | Ok path -> (
-      match t.cfg.read_mode with
-      | `Snapshot ->
-          (* lock-free: answer from the last published snapshot — never
-             blocks behind the batcher's exclusive section *)
-          Metrics.incr t.mtr "snapshot_queries";
-          selected_of t (Engine.Snapshot.query t.published path)
-      | `Locked ->
-          Metrics.incr t.mtr "locked_queries";
-          Rwlock.with_read t.lock (fun () ->
-              selected_of t (Engine.query t.eng path)))
+  | Ok path ->
+      (* lock-free: answer from the last published snapshot — never
+         blocks behind the batcher's exclusive section *)
+      Metrics.incr t.mtr "snapshot_queries";
+      selected_of t (Engine.Snapshot.query t.published path)
 
 let handle_update t ~client ~req_seq ~epoch:req_epoch ~policy ops =
   match
@@ -398,8 +390,7 @@ let stats_reply t (st : Engine.stats) ~generation =
       st_health = health_string t;
       (* the query-cache and read-path counters ride in the generic
          counter list: no wire-format change, old clients simply show
-         extra rows. The read counters are atomics, read live in either
-         mode. *)
+         extra rows. The read counters are atomics, read live. *)
       st_counters =
         snap.Metrics.counters
         @ [
@@ -409,30 +400,21 @@ let stats_reply t (st : Engine.stats) ~generation =
             ("cache_evictions", st.Engine.cache_evictions);
             ("live_reads", Atomic.get t.eng.Engine.live_reads);
             ("snapshot_reads", Atomic.get t.eng.Engine.snapshot_reads);
-            ("lock_read_acquisitions", Rwlock.read_acquisitions t.lock);
             ("sat_skeleton_hits", st.Engine.sat_skeleton_hits);
             ("sat_skeleton_misses", st.Engine.sat_skeleton_misses);
             ("sat_learned_kept", st.Engine.sat_learned_kept);
-            ("sat_warm_starts", st.Engine.sat_warm_starts);
           ];
       st_gauges = snap.Metrics.gauges;
       st_latencies = snap.Metrics.latencies;
     }
 
 let handle_stats t =
-  match t.cfg.read_mode with
-  | `Snapshot ->
-      (* lock-free: structural fields describe the published snapshot *)
-      let s = t.published in
-      Metrics.incr t.mtr "snapshot_stats";
-      stats_reply t
-        (Engine.Snapshot.stats s)
-        ~generation:(Engine.Snapshot.generation s)
-  | `Locked ->
-      Rwlock.with_read t.lock (fun () ->
-          stats_reply t (Engine.stats t.eng)
-            ~generation:
-              (Rxv_core.Eval_cache.generation t.eng.Engine.cache))
+  (* lock-free: structural fields describe the published snapshot *)
+  let s = t.published in
+  Metrics.incr t.mtr "snapshot_stats";
+  stats_reply t
+    (Engine.Snapshot.stats s)
+    ~generation:(Engine.Snapshot.generation s)
 
 let handle_checkpoint t =
   match t.persist with

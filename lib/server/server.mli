@@ -3,11 +3,10 @@
     One listening socket (Unix-domain or TCP), one handler thread per
     connection, one {!Batcher} writer thread. Locking discipline:
 
-    - queries and stats are, by default ([`Snapshot] read mode), served
-      from the latest MVCC snapshot the batcher published at the end of
-      its last write batch — no lock at all, so readers never block
-      behind the writer's exclusive section (in [`Locked] mode they take
-      the {!Rwlock} in shared mode instead, as before);
+    - queries and stats are served from the latest MVCC snapshot the
+      batcher published at the end of its last write batch — no lock at
+      all, so readers never block behind the writer's exclusive
+      section;
     - update groups are serialized through the batcher, which holds the
       exclusive side only while applying (never across the sync);
     - checkpoints and degraded-mode durability probes take the exclusive
@@ -39,14 +38,6 @@ type address =
   | Unix_sock of string  (** filesystem path *)
   | Tcp of string * int  (** bind address, port *)
 
-type read_mode =
-  [ `Locked  (** queries/stats take the rwlock's shared side *)
-  | `Snapshot
-    (** queries/stats answer from the batcher-published MVCC snapshot,
-        taking no lock at all — a reader never waits behind the writer's
-        exclusive section, and the writer never waits behind a long
-        read *) ]
-
 type role =
   [ `Primary  (** accepts updates; streams its WAL to pulling followers *)
   | `Replica
@@ -65,14 +56,12 @@ type config = {
   max_sessions : int;
       (** dedup-table capacity; beyond it new client sessions are
           refused ([Overloaded]) unless an entry has aged out *)
-  read_mode : read_mode;  (** how queries and stats are served *)
   role : role;
 }
 
 val default_config : config
 (** [{ queue_cap = 128; batch_cap = 64; max_listed = 32;
-      probe_interval = 0.25; max_sessions = 1024;
-      read_mode = `Snapshot; role = `Primary }] *)
+      probe_interval = 0.25; max_sessions = 1024; role = `Primary }] *)
 
 type health = [ `Ok | `Degraded of string ]
 

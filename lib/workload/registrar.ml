@@ -145,4 +145,4 @@ let sample_db () =
 let course_attr cno title = [| s cno; s title |]
 
 (** A ready engine over the sample instance. *)
-let engine ?seed () = Rxv_core.Engine.create ?seed (atg ()) (sample_db ())
+let engine () = Rxv_core.Engine.create (atg ()) (sample_db ())

@@ -16,6 +16,5 @@ val sample_db : unit -> Database.t
 val course_attr : string -> string -> Rxv_relational.Tuple.t
 (** $course = (cno, title) *)
 
-val engine : ?seed:int -> unit -> Rxv_core.Engine.t
-(** a ready engine over the sample instance; [seed] starts the engine's
-    WalkSAT seed sequence *)
+val engine : unit -> Rxv_core.Engine.t
+(** a ready engine over the sample instance *)

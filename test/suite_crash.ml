@@ -64,10 +64,10 @@ let write_file path s =
    exact after every commit). Returns the WAL image, the byte boundary
    after each committed record, and the reference snapshots (tree, db)
    after each prefix — index i = state after i committed groups. *)
-let logged_run ~atg ~init ~seed ops dir =
+let logged_run ~atg ~init ops dir =
   let p = Persist.open_dir ~sync:Wal.Always dir in
   let e =
-    match Persist.recover ~seed p atg ~init with
+    match Persist.recover p atg ~init with
     | Ok (e, _) -> e
     | Error msg -> Alcotest.failf "setup recover: %s" msg
   in
@@ -95,7 +95,7 @@ let logged_run ~atg ~init ~seed ops dir =
 
 (* Recover from a WAL truncated to [len] bytes and check the result
    against the expected prefix. *)
-let check_crash_point ~atg ~init ~seed ~image ~boundaries ~snaps dir len =
+let check_crash_point ~atg ~init ~image ~boundaries ~snaps dir len =
   let sub = Filename.concat dir (Printf.sprintf "crash-%d" len) in
   rm_rf sub;
   let p = Persist.open_dir sub in
@@ -108,7 +108,7 @@ let check_crash_point ~atg ~init ~seed ~image ~boundaries ~snaps dir len =
     in
     go 0 0 boundaries
   in
-  (match Persist.recover ~seed p atg ~init with
+  (match Persist.recover p atg ~init with
   | Error msg -> Alcotest.failf "len %d: recover failed: %s" len msg
   | Ok (e, info) ->
       Alcotest.(check int)
@@ -144,23 +144,23 @@ let registrar_ops =
 (* every truncation point, exhaustively *)
 let test_truncation_sweep () =
   with_dir (fun dir ->
-      let atg = Registrar.atg () and init = Registrar.sample_db and seed = 9 in
+      let atg = Registrar.atg () and init = Registrar.sample_db in
       let image, boundaries, snaps =
-        logged_run ~atg ~init ~seed registrar_ops (Filename.concat dir "base")
+        logged_run ~atg ~init registrar_ops (Filename.concat dir "base")
       in
       Alcotest.(check int) "all ops logged"
         (List.length registrar_ops + 1)
         (List.length boundaries);
       for len = 0 to String.length image do
-        check_crash_point ~atg ~init ~seed ~image ~boundaries ~snaps dir len
+        check_crash_point ~atg ~init ~image ~boundaries ~snaps dir len
       done)
 
 (* a CRC-corrupted record (bit rot, not a torn tail) cuts the log there *)
 let test_corrupt_record () =
   with_dir (fun dir ->
-      let atg = Registrar.atg () and init = Registrar.sample_db and seed = 9 in
+      let atg = Registrar.atg () and init = Registrar.sample_db in
       let image, boundaries, snaps =
-        logged_run ~atg ~init ~seed registrar_ops (Filename.concat dir "base")
+        logged_run ~atg ~init registrar_ops (Filename.concat dir "base")
       in
       (* flip one payload byte inside the second record *)
       let b1 = List.nth boundaries 1 in
@@ -170,7 +170,7 @@ let test_corrupt_record () =
       let sub = Filename.concat dir "corrupt" in
       let p = Persist.open_dir sub in
       write_file (Persist.wal_path p 0) (Bytes.to_string bad);
-      match Persist.recover ~seed p atg ~init with
+      match Persist.recover p atg ~init with
       | Error msg -> Alcotest.failf "recover failed: %s" msg
       | Ok (e, info) ->
           Alcotest.(check int) "only the intact prefix" 1 info.Persist.r_replayed;
@@ -198,12 +198,12 @@ let test_random_crash =
     (fun (p, cut) ->
       with_dir (fun dir ->
           let d = Synth.generate p in
-          let atg = Synth.atg () and seed = 3 in
+          let atg = Synth.atg () in
           (* recovery mutates the database [init] returns: copy each time *)
           let init () = Database.copy d.Synth.db in
           (* a mixed insert/delete workload over the actual store *)
           let ops =
-            let scratch = Engine.create ~seed atg (Database.copy d.Synth.db) in
+            let scratch = Engine.create atg (Database.copy d.Synth.db) in
             Updates.insertions d scratch.Engine.store Updates.W2 ~count:2
               ~seed:p.Synth.seed ()
             @ Updates.deletions scratch.Engine.store Updates.W2 ~count:2
@@ -211,9 +211,9 @@ let test_random_crash =
           in
           QCheck2.assume (ops <> []);
           let image, boundaries, snaps =
-            logged_run ~atg ~init ~seed ops (Filename.concat dir "base")
+            logged_run ~atg ~init ops (Filename.concat dir "base")
           in
-          check_crash_point ~atg ~init ~seed ~image ~boundaries ~snaps dir
+          check_crash_point ~atg ~init ~image ~boundaries ~snaps dir
             (cut mod (String.length image + 1));
           true))
 

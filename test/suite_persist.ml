@@ -22,6 +22,11 @@ module Persist = Rxv_persist.Persist
 let check = Alcotest.(check bool)
 let s = Value.str
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let ins cno title path =
   Xupdate.Insert
     {
@@ -296,12 +301,11 @@ let test_persist_deferred_sync () =
 
 let test_checkpoint_roundtrip () =
   with_dir (fun dir ->
-      let e = Registrar.engine ~seed:11 () in
+      let e = Registrar.engine () in
       let path = Filename.concat dir "c.rxc" in
       let meta =
         {
           Checkpoint.atg_name = "registrar";
-          seed = 11;
           generation = 3;
           epoch = 2;
           boundaries = [ (1, 0); (2, 7) ];
@@ -323,7 +327,7 @@ let test_checkpoint_roundtrip () =
       | Ok (m, db, store) ->
           check "meta round trip" true (m = meta);
           check "database round trip" true (Database.equal db e.Engine.db);
-          let e' = Engine.of_durable ~seed:m.Checkpoint.seed (Registrar.atg ()) db store in
+          let e' = Engine.of_durable (Registrar.atg ()) db store in
           check "view round trip" true
             (Tree.equal_canonical (Engine.to_tree e) (Engine.to_tree e'));
           (match Engine.check_consistency e' with
@@ -337,7 +341,6 @@ let test_checkpoint_corruption () =
       let meta =
         {
           Checkpoint.atg_name = "registrar";
-          seed = 0;
           generation = 1;
           epoch = 0;
           boundaries = [];
@@ -373,10 +376,9 @@ let test_record_codec () =
       Group_update.Delete ("prereq", [ s "CS650"; s "CS320" ]);
     ]
   in
-  let payload = Persist.encode_record ~seed:42 g in
+  let payload = Persist.encode_record g in
   (match Persist.decode_record payload with
-  | Persist.Group { seed; epoch; origin; group } ->
-      Alcotest.(check int) "seed" 42 seed;
+  | Persist.Group { epoch; origin; group } ->
       Alcotest.(check int) "default epoch" 0 epoch;
       check "no origin" true (origin = None);
       check "group" true (g = group)
@@ -386,7 +388,7 @@ let test_record_codec () =
   let o =
     { Persist.o_client = "c42.1.abc"; o_seq = 7; o_commit = 19; o_reports = 2 }
   in
-  (match Persist.decode_record (Persist.encode_record ~origin:o ~seed:3 g) with
+  (match Persist.decode_record (Persist.encode_record ~origin:o g) with
   | Persist.Group { origin = Some o'; _ } -> check "origin" true (o = o')
   | _ -> Alcotest.fail "origin lost in round-trip");
   (* sessions snapshot *)
@@ -417,7 +419,7 @@ let test_record_codec () =
   | Persist.Group _ | Persist.Sessions _ ->
       Alcotest.fail "epoch decoded as another record");
   (* a stamped group round-trips its epoch *)
-  (match Persist.decode_record (Persist.encode_record ~epoch:5 ~seed:1 g) with
+  (match Persist.decode_record (Persist.encode_record ~epoch:5 g) with
   | Persist.Group { epoch; _ } -> Alcotest.(check int) "stamped epoch" 5 epoch
   | _ -> Alcotest.fail "stamped group lost");
   match Persist.decode_record (payload ^ "\x00") with
@@ -438,9 +440,9 @@ let ops =
     Xupdate.Delete (Parser.parse "course[cno=CS650]/prereq/course[cno=CS320]");
   ]
 
-(* the engine the recovered one must match: same seed, same ops, no disk *)
+(* the engine the recovered one must match: same ops, no disk *)
 let reference () =
-  let e = Registrar.engine ~seed:5 () in
+  let e = Registrar.engine () in
   List.iter (apply_ok e) ops;
   e
 
@@ -449,7 +451,7 @@ let test_recover_from_wal_only () =
       let p = Persist.open_dir ~sync:Wal.Always dir in
       let e =
         match
-          Persist.recover ~seed:5 p (Registrar.atg ())
+          Persist.recover p (Registrar.atg ())
             ~init:Registrar.sample_db
         with
         | Ok (e, info) ->
@@ -470,7 +472,7 @@ let test_recover_from_wal_only () =
       Alcotest.(check int) "records visible on reopen" 3
         (Persist.records_since_checkpoint p2);
       match
-        Persist.recover ~seed:5 p2 (Registrar.atg ()) ~init:Registrar.sample_db
+        Persist.recover p2 (Registrar.atg ()) ~init:Registrar.sample_db
       with
       | Error msg -> Alcotest.failf "recover: %s" msg
       | Ok (e', info) ->
@@ -490,7 +492,7 @@ let test_checkpoint_rotation () =
       let p = Persist.open_dir ~sync:Wal.Always dir in
       let e =
         match
-          Persist.recover ~seed:5 p (Registrar.atg ()) ~init:Registrar.sample_db
+          Persist.recover p (Registrar.atg ()) ~init:Registrar.sample_db
         with
         | Ok (e, _) -> e
         | Error msg -> Alcotest.failf "recover: %s" msg
@@ -512,7 +514,7 @@ let test_checkpoint_rotation () =
       Engine.detach_wal e;
       let p2 = Persist.open_dir dir in
       match
-        Persist.recover ~seed:5 p2 (Registrar.atg ()) ~init:Registrar.sample_db
+        Persist.recover p2 (Registrar.atg ()) ~init:Registrar.sample_db
       with
       | Error msg -> Alcotest.failf "recover: %s" msg
       | Ok (e', info) ->
@@ -534,7 +536,7 @@ let test_corrupt_checkpoint_falls_back () =
       let p = Persist.open_dir ~sync:Wal.Always dir in
       let e =
         match
-          Persist.recover ~seed:5 p (Registrar.atg ()) ~init:Registrar.sample_db
+          Persist.recover p (Registrar.atg ()) ~init:Registrar.sample_db
         with
         | Ok (e, _) -> e
         | Error msg -> Alcotest.failf "recover: %s" msg
@@ -553,7 +555,7 @@ let test_corrupt_checkpoint_falls_back () =
       let p2 = Persist.open_dir dir in
       Alcotest.(check int) "newest gen wins at open" 2 (Persist.generation p2);
       match
-        Persist.recover ~seed:5 p2 (Registrar.atg ()) ~init:Registrar.sample_db
+        Persist.recover p2 (Registrar.atg ()) ~init:Registrar.sample_db
       with
       | Error msg -> Alcotest.failf "recover: %s" msg
       | Ok (e', info) ->
@@ -569,7 +571,7 @@ let test_atg_mismatch_rejected () =
       let p = Persist.open_dir dir in
       let e =
         match
-          Persist.recover ~seed:5 p (Registrar.atg ()) ~init:Registrar.sample_db
+          Persist.recover p (Registrar.atg ()) ~init:Registrar.sample_db
         with
         | Ok (e, _) -> e
         | Error msg -> Alcotest.failf "recover: %s" msg
@@ -583,6 +585,77 @@ let test_atg_mismatch_rejected () =
       with
       | Error _ -> Persist.close p2
       | Ok _ -> Alcotest.fail "checkpoint for another ATG accepted")
+
+(* ---- retired on-disk formats ---- *)
+
+(* The earlier group layout (tag 0) carried a solver seed before the
+   epoch. A CRC-valid record of that layout is not a torn tail: recovery
+   must refuse the log and leave the file as it found it. *)
+let test_legacy_group_record_refused () =
+  with_dir (fun dir ->
+      let p = Persist.open_dir dir in
+      let legacy =
+        let b = Buffer.create 64 in
+        Codec.varint b 0 (* tag *);
+        Codec.varint b 20070416 (* seed *);
+        Codec.varint b 0 (* epoch *);
+        Codec.varint b 0 (* no origin *);
+        Codec.group b [ Group_update.Insert ("course", [| s "CS1"; s "T" |]) ];
+        Buffer.contents b
+      in
+      let wal = Persist.wal_path p 0 in
+      let w = Wal.open_writer ~sync:Wal.Always wal in
+      Wal.append w legacy;
+      Wal.close w;
+      let before = read_file wal in
+      (match
+         Persist.recover p (Registrar.atg ()) ~init:Registrar.sample_db
+       with
+      | Ok _ -> Alcotest.fail "legacy tag-0 group record accepted"
+      | Error msg ->
+          check "names the unknown tag" true
+            (contains msg "unknown WAL record tag 0"));
+      check "log left untouched" true (read_file wal = before);
+      let r = Wal.read wal in
+      check "record still frame-valid" true (r.Wal.damage = None);
+      Alcotest.(check int) "record kept" 1 (List.length r.Wal.records);
+      Persist.close p)
+
+(* A version-2 image (whose meta carried the solver seed) is refused by
+   its version byte, before any of its body is decoded. *)
+let test_checkpoint_v2_refused () =
+  with_dir (fun dir ->
+      let e = Registrar.engine () in
+      let p = Persist.open_dir dir in
+      let path = Persist.checkpoint_path p 1 in
+      let body = Buffer.create 4096 in
+      Codec.bytes_ body "registrar";
+      Codec.varint body 20070415 (* seed *);
+      Codec.varint body 1 (* generation *);
+      Codec.varint body 0 (* epoch *);
+      Codec.list_ (fun _ _ -> ()) body [] (* boundaries *);
+      Codec.database body e.Engine.db;
+      Codec.store body (Store.to_persisted e.Engine.store);
+      let image = Buffer.create (Buffer.length body + 16) in
+      Buffer.add_string image "RXVC";
+      Buffer.add_char image (Char.chr 2);
+      Frame.add image (Buffer.contents body);
+      write_file path (Buffer.contents image);
+      (match Checkpoint.read path with
+      | Ok _ -> Alcotest.fail "version-2 checkpoint read back"
+      | Error msg ->
+          check "unsupported version reported" true
+            (contains msg "unsupported checkpoint version 2"));
+      Persist.close p;
+      let p2 = Persist.open_dir dir in
+      match
+        Persist.recover p2 (Registrar.atg ()) ~init:Registrar.sample_db
+      with
+      | Ok _ -> Alcotest.fail "recovered from a version-2 checkpoint"
+      | Error msg ->
+          check "recovery names the version" true
+            (contains msg "unsupported checkpoint version 2");
+          Persist.close p2)
 
 let tests =
   [
@@ -608,4 +681,8 @@ let tests =
     Alcotest.test_case "corrupt checkpoint falls back" `Quick
       test_corrupt_checkpoint_falls_back;
     Alcotest.test_case "atg mismatch rejected" `Quick test_atg_mismatch_rejected;
+    Alcotest.test_case "legacy group record refused" `Quick
+      test_legacy_group_record_refused;
+    Alcotest.test_case "version-2 checkpoint refused" `Quick
+      test_checkpoint_v2_refused;
   ]

@@ -76,8 +76,6 @@ let fresh_ins () =
 
 (* ---- topology helpers ---- *)
 
-let seed = 20070415 (* the engine's default WalkSAT seed *)
-
 let start_primary dir sock =
   let p = Persist.open_dir dir in
   match Persist.recover p (Registrar.atg ()) ~init:Registrar.sample_db with
@@ -91,7 +89,7 @@ let start_replica_server () =
 
 let start_follower ?(wait_ms = 100) ~name rsrv psock =
   Follower.start ~wait_ms ~name ~primary:(Server.Unix_sock psock)
-    ~init:Registrar.sample_db ~seed rsrv
+    ~init:Registrar.sample_db rsrv
 
 let enc_db db =
   let b = Buffer.create 8192 in
@@ -282,7 +280,7 @@ let start_durable_replica dir =
 
 let start_durable_follower ?(wait_ms = 50) ~name ~persist rsrv psock =
   Follower.start ~wait_ms ~persist ~name ~primary:(Server.Unix_sock psock)
-    ~init:Registrar.sample_db ~seed rsrv
+    ~init:Registrar.sample_db rsrv
 
 let test_promote_failover () =
   with_dir @@ fun dir1 ->
@@ -560,7 +558,7 @@ let test_failover_convergence =
             let f =
               Follower.start ~wait_ms:50 ~persist:p ~name:"standby"
                 ~primary:(Server.Unix_sock of_sock) ~init:Registrar.sample_db
-                ~seed srv
+                srv
             in
             (p, srv, Some f)
       in

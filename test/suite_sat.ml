@@ -1,9 +1,7 @@
-(* Tests for the SAT substrate: CNF building, WalkSAT on satisfiable
-   instances, DPLL completeness against brute force. *)
+(* Tests for the SAT substrate: CNF building and the incremental CDCL
+   solver against brute force. *)
 
 module Cnf = Rxv_sat.Cnf
-module Walksat = Rxv_sat.Walksat
-module Dpll = Rxv_sat.Dpll
 module Inc = Rxv_sat.Inc
 module Rng = Rxv_sat.Rng
 
@@ -54,59 +52,15 @@ let test_exactly_one () =
   let f = Cnf.create () in
   let vars = List.init 4 (fun i -> Cnf.var f (Printf.sprintf "v%d" i)) in
   Cnf.exactly_one f vars;
-  match Dpll.solve f with
-  | Dpll.Unsat -> Alcotest.fail "exactly-one unsat"
-  | Dpll.Unknown -> Alcotest.fail "unbudgeted DPLL gave up"
-  | Dpll.Sat a ->
+  let inc = Inc.create () in
+  Inc.add_cnf inc f;
+  match Inc.solve inc with
+  | Inc.Unsat -> Alcotest.fail "exactly-one unsat"
+  | Inc.Sat a ->
       let count = List.length (List.filter (fun v -> a.(v)) vars) in
       Alcotest.(check int) "exactly one true" 1 count
 
-(* --- random 3-SAT with a planted solution: WalkSAT must solve it --- *)
-
-let planted_3sat ~nvars ~nclauses ~seed =
-  let rng = Rng.create seed in
-  let f = Cnf.create () in
-  let planted = Array.init (nvars + 1) (fun _ -> Rng.bool rng) in
-  for _ = 1 to nclauses do
-    let lits =
-      List.init 3 (fun _ ->
-          let v = 1 + Rng.int rng nvars in
-          if Rng.bool rng then v else -v)
-    in
-    (* make sure the planted assignment satisfies the clause: flip one
-       literal towards it if needed *)
-    let ok =
-      List.exists
-        (fun l -> if l > 0 then planted.(l) else not planted.(-l))
-        lits
-    in
-    let lits =
-      if ok then lits
-      else
-        match lits with
-        | l :: rest ->
-            let v = abs l in
-            (if planted.(v) then v else -v) :: rest
-        | [] -> assert false
-    in
-    (try Cnf.add_clause f lits with Cnf.Trivial_conflict -> ())
-  done;
-  (f, planted)
-
-let walksat_planted =
-  Helpers.qtest ~count:30 "WalkSAT solves planted 3-SAT"
-    QCheck2.Gen.(
-      let* nvars = int_range 5 40 in
-      let* seed = int_range 0 100000 in
-      return (nvars, seed))
-    (fun (nvars, seed) -> Printf.sprintf "nvars=%d seed=%d" nvars seed)
-    (fun (nvars, seed) ->
-      let f, _ = planted_3sat ~nvars ~nclauses:(3 * nvars) ~seed in
-      match Walksat.solve_result ~seed:(seed + 1) f with
-      | Walksat.Sat a -> Cnf.satisfies a f
-      | Walksat.Unknown -> false)
-
-(* --- DPLL vs brute force on small formulas --- *)
+(* --- small random formulas, decided exactly by brute force --- *)
 
 let random_cnf ~nvars ~nclauses ~seed =
   let rng = Rng.create seed in
@@ -141,72 +95,24 @@ let brute_force_sat f =
   in
   go 1
 
-let dpll_complete =
-  Helpers.qtest ~count:60 "DPLL agrees with brute force"
-    QCheck2.Gen.(
-      let* nvars = int_range 2 10 in
-      let* nclauses = int_range 1 25 in
-      let* seed = int_range 0 100000 in
-      return (nvars, nclauses, seed))
-    (fun (a, b, c) -> Printf.sprintf "nv=%d nc=%d seed=%d" a b c)
-    (fun (nvars, nclauses, seed) ->
-      let f = random_cnf ~nvars ~nclauses ~seed in
-      let expect = brute_force_sat f in
-      match Dpll.solve f with
-      | Dpll.Sat a -> expect && Cnf.satisfies a f
-      | Dpll.Unsat -> not expect
-      | Dpll.Unknown -> false (* never without a conflict budget *))
-
-(* walksat never claims SAT wrongly *)
-let walksat_sound =
-  Helpers.qtest ~count:60 "WalkSAT models really satisfy"
-    QCheck2.Gen.(
-      let* nvars = int_range 2 12 in
-      let* nclauses = int_range 1 30 in
-      let* seed = int_range 0 100000 in
-      return (nvars, nclauses, seed))
-    (fun (a, b, c) -> Printf.sprintf "nv=%d nc=%d seed=%d" a b c)
-    (fun (nvars, nclauses, seed) ->
-      let f = random_cnf ~nvars ~nclauses ~seed in
-      match Walksat.solve_result ~seed ~max_flips:2000 ~max_restarts:3 f with
-      | Walksat.Sat a -> Cnf.satisfies a f
-      | Walksat.Unknown -> true)
-
 let test_unsat_detected () =
   let f = Cnf.create () in
   let x = Cnf.var f "x" in
   Cnf.add_clause f [ x ];
   Cnf.add_clause f [ -x ];
-  (match Dpll.solve f with
-  | Dpll.Unsat -> ()
-  | Dpll.Unknown -> Alcotest.fail "unbudgeted DPLL gave up"
-  | Dpll.Sat _ -> Alcotest.fail "x ∧ ¬x satisfiable?");
-  match Walksat.solve_result ~max_flips:500 ~max_restarts:2 f with
-  | Walksat.Unknown -> ()
-  | Walksat.Sat _ -> Alcotest.fail "walksat claimed unsat formula"
+  let inc = Inc.create () in
+  Inc.add_cnf inc f;
+  match Inc.solve inc with
+  | Inc.Unsat -> ()
+  | Inc.Sat _ -> Alcotest.fail "x ∧ ¬x satisfiable?"
 
-(* --- budgeted DPLL --- *)
-
-let test_dpll_budget () =
-  (* with a zero conflict budget the solver must either finish without
-     backtracking or give up — never claim Unsat *)
-  let f, _ = planted_3sat ~nvars:40 ~nclauses:160 ~seed:3 in
-  (match Dpll.solve ~max_conflicts:0 f with
-  | Dpll.Unsat -> Alcotest.fail "budgeted run claimed a planted formula unsat"
-  | Dpll.Sat a -> check "budgeted model satisfies" true (Cnf.satisfies a f)
-  | Dpll.Unknown -> ());
-  (* a generous budget must not change the answer *)
-  match Dpll.solve ~max_conflicts:1_000_000 f with
-  | Dpll.Sat a -> check "solved within budget" true (Cnf.satisfies a f)
-  | Dpll.Unsat | Dpll.Unknown -> Alcotest.fail "planted formula not solved"
-
-(* --- incremental CDCL: agreement with DPLL / brute force --- *)
+(* --- incremental CDCL: agreement with brute force --- *)
 
 let lit_holds a l =
   if l > 0 then l < Array.length a && a.(l)
   else not (-l < Array.length a && a.(-l))
 
-let inc_matches_dpll =
+let inc_matches_brute_force =
   Helpers.qtest ~count:80 "Inc (CDCL) agrees with brute force"
     QCheck2.Gen.(
       let* nvars = int_range 2 10 in
@@ -230,7 +136,7 @@ let inc_matches_dpll =
       | Inc.Unsat -> not expect)
 
 let inc_assumptions =
-  Helpers.qtest ~count:80 "Inc under assumptions ≡ DPLL with unit clauses"
+  Helpers.qtest ~count:80 "Inc under assumptions ≡ brute force with unit clauses"
     QCheck2.Gen.(
       let* nvars = int_range 2 10 in
       let* nclauses = int_range 1 25 in
@@ -248,13 +154,14 @@ let inc_assumptions =
       in
       let inc = Inc.create () in
       Inc.add_cnf inc f;
-      (* reference: the same formula with the assumptions as units *)
+      (* reference: the same formula with the assumptions as units,
+         decided exactly by brute force (nvars ≤ 10) *)
       let reference =
         let f2 = random_cnf ~nvars ~nclauses ~seed in
         try
           List.iter (fun l -> Cnf.add_clause f2 [ l ]) assumptions;
-          Dpll.solve f2
-        with Cnf.Trivial_conflict -> Dpll.Unsat
+          brute_force_sat f2
+        with Cnf.Trivial_conflict -> false
       in
       let r1 = Inc.solve ~assumptions inc in
       (* solving under assumptions must not poison later calls: the
@@ -266,12 +173,11 @@ let inc_assumptions =
       in
       unconstrained_ok
       &&
-      match (r1, reference) with
-      | Inc.Sat a, Dpll.Sat _ ->
-          Cnf.satisfies a f && List.for_all (lit_holds a) assumptions
-      | Inc.Unsat, Dpll.Unsat -> true
-      | Inc.Sat _, (Dpll.Unsat | Dpll.Unknown) | Inc.Unsat, (Dpll.Sat _ | Dpll.Unknown)
-        -> false)
+      match r1 with
+      | Inc.Sat a ->
+          reference && Cnf.satisfies a f
+          && List.for_all (lit_holds a) assumptions
+      | Inc.Unsat -> not reference)
 
 let inc_push_pop =
   Helpers.qtest ~count:60 "Inc push/pop retracts scoped clauses exactly"
@@ -322,39 +228,13 @@ let inc_push_pop =
       let r2 = Inc.solve inc in
       agree1 r0 && agree2 r1 && agree1 r2)
 
-(* --- warm-started WalkSAT --- *)
-
-let test_walksat_warm () =
-  let f, planted = planted_3sat ~nvars:30 ~nclauses:90 ~seed:5 in
-  (* seeding with a model solves without search *)
-  (match Walksat.solve_result ~seed:11 ~max_flips:1 ~init:planted f with
-  | Walksat.Sat a -> check "warm model satisfies" true (Cnf.satisfies a f)
-  | Walksat.Unknown -> Alcotest.fail "warm start from a model failed");
-  (* fixed seed + same init ⇒ identical outcome *)
-  let r1 = Walksat.solve_result ~seed:11 ~init:planted f in
-  let r2 = Walksat.solve_result ~seed:11 ~init:planted f in
-  (match (r1, r2) with
-  | Walksat.Sat a, Walksat.Sat b ->
-      check "deterministic under fixed seed" true (a = b)
-  | _ -> Alcotest.fail "expected sat");
-  (* a bad init must not trap the solver: later restarts randomize *)
-  let bad = Array.make 31 false in
-  match Walksat.solve_result ~seed:12 ~init:bad f with
-  | Walksat.Sat a -> check "recovered from bad init" true (Cnf.satisfies a f)
-  | Walksat.Unknown -> Alcotest.fail "stuck on bad warm start"
-
 let tests =
   [
     Alcotest.test_case "rng determinism and ranges" `Quick test_rng_determinism;
     Alcotest.test_case "cnf builder" `Quick test_cnf_builder;
     Alcotest.test_case "exactly-one encoding" `Quick test_exactly_one;
-    walksat_planted;
-    dpll_complete;
-    walksat_sound;
     Alcotest.test_case "unsat detected" `Quick test_unsat_detected;
-    Alcotest.test_case "dpll conflict budget" `Quick test_dpll_budget;
-    inc_matches_dpll;
+    inc_matches_brute_force;
     inc_assumptions;
     inc_push_pop;
-    Alcotest.test_case "walksat warm start" `Quick test_walksat_warm;
   ]

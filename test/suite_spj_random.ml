@@ -1,6 +1,6 @@
-(* Randomized SPJ evaluation tests: the hash-join evaluator and the bulk
-   grouped evaluator against the naive cross-product reference, over
-   random small schemas, instances and queries. *)
+(* Randomized SPJ evaluation tests: the hash-join evaluator and its
+   prepared plans against the naive cross-product reference, over random
+   small schemas, instances and queries. *)
 
 module Value = Rxv_relational.Value
 module Schema = Rxv_relational.Schema
@@ -93,29 +93,6 @@ let eval_agrees_with_naive =
           (List.length got) (List.length expect)
       else true)
 
-let grouped_agrees_with_run =
-  Helpers.qtest ~count:300 "random SPJ: bulk grouped = per-call evaluation"
-    QCheck2.Gen.(int_range 0 100_000)
-    string_of_int
-    (fun seed ->
-      let rng = Rng.create seed in
-      let db = random_db rng in
-      let q = random_query rng ~with_params:true in
-      match Eval.run_grouped db q ~nparams:1 with
-      | None -> true (* no column binding for $0: fallback case *)
-      | Some lookup ->
-          List.for_all
-            (fun p ->
-              let params = [| Value.Int p |] in
-              let got =
-                List.sort Tuple.compare (lookup [ Value.Int p ])
-              in
-              let expect =
-                List.sort Tuple.compare (Eval.run db q ~params ())
-              in
-              got = expect)
-            [ 0; 1; 2; 3; 4; 5; 99 ])
-
 (* prepare-once/run-many: a compiled plan must agree with one-shot [run]
    both before and after the database is mutated underneath it — the
    mutations also exercise the incremental maintenance of the relations'
@@ -164,4 +141,4 @@ let prepared_agrees_with_run =
       !ok)
 
 let tests =
-  [ eval_agrees_with_naive; grouped_agrees_with_run; prepared_agrees_with_run ]
+  [ eval_agrees_with_naive; prepared_agrees_with_run ]
